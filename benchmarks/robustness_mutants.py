@@ -15,7 +15,8 @@ For each encoder kind the workload reports, over all
     |P(mutant slower than original) - 0.5|: an ideal model says 0.5
     (the programs are equivalent).
 ``flag_rate``
-    fraction of pairs a :class:`~repro.core.PerformanceGate`-style
+    fraction of pairs a
+    :meth:`~repro.serve.PredictionService.check_regression`-style
     threshold would flag as regressions — false alarms by construction.
 ``mean_embedding_drift``
     relative L2 drift of the latent code vector.

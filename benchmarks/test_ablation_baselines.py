@@ -42,7 +42,7 @@ def run_ablation(table1_db, profile, train_tag="C", transfer_tag="A",
 
     regressor = AbsoluteRuntimeRegressor().fit(trained.train_submissions)
     contenders = {
-        "tree-LSTM (learned)": trained.trainer.model,
+        "tree-LSTM (learned)": trained.engine.model,
         "node-count heuristic": NodeCountHeuristic(),
         "loop-nesting heuristic": LoopNestingHeuristic(),
         "weighted constructs": WeightedConstructHeuristic(),

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from benchmarks.synthetic import SOURCE, variants
-from repro.core import TrainConfig, Trainer, build_model
+from repro.core import TrainConfig, build_model
 from repro.data import sample_pairs
+from repro.engine import Engine
 from repro.judge import Judge, MachineProfile
 from repro.lang import parse
 
@@ -48,14 +49,14 @@ def test_bench_training_step(benchmark, table1_db):
     subs = table1_db.submissions("C")
     pairs = sample_pairs(subs, 8, np.random.default_rng(0))
     model = build_model(embedding_dim=16, hidden_size=16)
-    trainer = Trainer(model, TrainConfig(epochs=1, batch_size=8))
-    prepared = trainer._featurize_pairs(pairs)
+    engine = Engine(model, TrainConfig(epochs=1, batch_size=8))
+    prepared = engine._featurize_pairs(pairs)
 
     def step():
-        trainer.optimizer.zero_grad()
-        loss = trainer._batch_loss(prepared)
+        engine.optimizer.zero_grad()
+        loss = engine._batch_loss(prepared)
         loss.backward()
-        trainer.optimizer.step()
+        engine.optimizer.step()
         return loss
 
     # 5 warm-up rounds: the grad-buffer pool and allocator arenas take
@@ -95,11 +96,11 @@ def test_bench_full_epoch(benchmark, table1_db):
     subs = table1_db.submissions("C")
     pairs = sample_pairs(subs, 24, np.random.default_rng(1))
     model = build_model(embedding_dim=16, hidden_size=16)
-    trainer = Trainer(model, TrainConfig(epochs=1, batch_size=8, seed=0))
-    trainer._featurize_pairs(pairs)  # warm the featurizer cache
+    engine = Engine(model, TrainConfig(epochs=1, batch_size=8, seed=0))
+    engine._featurize_pairs(pairs)  # warm the featurizer cache
 
     def epoch():
-        return trainer.fit(pairs)
+        return engine.fit(pairs)
 
     history = benchmark.pedantic(epoch, rounds=3, iterations=1,
                                  warmup_rounds=1)

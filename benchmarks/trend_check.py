@@ -4,7 +4,8 @@ The repository carries one microbenchmark artifact per PR (written by
 ``benchmarks/run_microbench.py``). This script reads the **whole
 series**, builds a per-benchmark history of mean times, and warns when
 the newest point drifts out of the history's noise band — the
-repo-level analogue of the per-change ``PerformanceGate`` that
+repo-level analogue of the per-change regression check
+(``PredictionService.check_regression``) that
 ``examples/regression_gate.py`` demonstrates on source code.
 
 The band is robust rather than parametric: for each benchmark with

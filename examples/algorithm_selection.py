@@ -57,7 +57,7 @@ def main() -> None:
     measured = [judge.judge_source(src, spec.tests).mean_runtime_ms
                 for _, src in candidates]
 
-    ranking = round_robin_rank(result.trainer.model,
+    ranking = round_robin_rank(result.engine.model,
                                [src for _, src in candidates])
     print("   model ranking (fastest first) vs judge-measured runtimes:")
     for place, idx in enumerate(ranking, start=1):

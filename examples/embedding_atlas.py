@@ -29,7 +29,7 @@ def main() -> None:
         seed=6, train=TrainConfig(epochs=5, batch_size=16,
                                   learning_rate=8e-3))
     result = run_experiment(pool, config)
-    model = result.trainer.model
+    model = result.engine.model
     print(f"   mixed-pool accuracy: {result.evaluation.accuracy:.3f}")
 
     print("== Fig.7a: node-type embeddings by syntactic category ==")

@@ -79,7 +79,7 @@ def main() -> None:
           f"AUC={result.evaluation.auc:.3f}")
 
     print("== 4. asking about two unseen programs ==")
-    model = result.trainer.model
+    model = result.engine.model
     p = model.predict_probability(SLOW_PROGRAM, FAST_PROGRAM)
     print(f"   P(quadratic scan is slower than sort+sweep) = {p:.3f}")
     p_rev = model.predict_probability(FAST_PROGRAM, SLOW_PROGRAM)

@@ -1,9 +1,10 @@
 """Use case: performance-aware code review (the paper's Section I).
 
-Trains a model once on a mixed corpus and wires it into a
-:class:`~repro.core.PerformanceGate` — the "nightly test" integration
-the paper proposes: every proposed code change is screened statically,
-and likely regressions are flagged before any dynamic run.
+Trains a model once on a mixed corpus and screens rewrites with
+:meth:`~repro.serve.PredictionService.check_regression` — the "nightly
+test" integration the paper proposes: every proposed code change is
+screened statically, and likely regressions are flagged before any
+dynamic run.
 
 The demo replays a plausible development history of one file (a range
 sum utility) with three successive rewrites, two harmless and one that
@@ -19,9 +20,8 @@ Run:  python examples/regression_gate.py
 from __future__ import annotations
 
 from repro.corpus import Collector, mp_families
-from repro.core import (
-    ExperimentConfig, PerformanceGate, TrainConfig, run_experiment,
-)
+from repro.core import ExperimentConfig, TrainConfig, run_experiment
+from repro.serve import PredictionService
 
 BASELINE = """
 #include <bits/stdc++.h>
@@ -92,18 +92,19 @@ def main() -> None:
     print(f"   screening model held-out accuracy: "
           f"{result.evaluation.accuracy:.3f}")
 
-    gate = PerformanceGate(result.trainer.model, flag_threshold=0.55)
     history = [("style-only cleanup", REWRITE_STYLE),
                ("per-query rescan rewrite", REWRITE_REGRESSION)]
     print("== screening proposed changes against the baseline ==")
-    for description, proposed in history:
-        report = gate.check(BASELINE, proposed)
+    with PredictionService(result.engine.model, threaded=False) as service:
+        reports = [service.check_regression(BASELINE, proposed,
+                                            threshold=0.55)
+                   for _, proposed in history]
+    for (description, _), report in zip(history, reports):
         status = "FLAG" if report["flagged"] else "pass"
         print(f"   [{status}] {description}: "
               f"P(regression)={report['regression_probability']:.3f}")
 
-    style_p = gate.regression_probability(BASELINE, REWRITE_STYLE)
-    slow_p = gate.regression_probability(BASELINE, REWRITE_REGRESSION)
+    style_p, slow_p = (r["regression_probability"] for r in reports)
     print(f"== ranking: regression scored "
           f"{'higher' if slow_p > style_p else 'LOWER (unexpected)'} "
           f"than the style change ({slow_p:.3f} vs {style_p:.3f}) ==")

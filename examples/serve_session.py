@@ -79,7 +79,7 @@ def main() -> None:
     print(f"held-out accuracy: {result.evaluation.accuracy:.3f}")
 
     checkpoint = Path(tempfile.mkdtemp()) / "model.npz"
-    save_checkpoint(result.trainer.model, checkpoint,
+    save_checkpoint(result.engine.model, checkpoint,
                     extra={"accuracy": result.evaluation.accuracy})
     print(f"checkpoint -> {checkpoint}")
 

@@ -45,7 +45,7 @@ the whole file's distinct trees are pre-encoded in maximal fused
 batches, then every request is answered from cache. ``train`` writes
 versioned checkpoints (weights + encoder config + vocab in one
 ``.npz``) that ``predict``/``serve`` reload without any re-specified
-configuration.
+configuration; the checkpoint is the only model file.
 """
 
 from __future__ import annotations
@@ -57,11 +57,7 @@ import sys
 from pathlib import Path
 
 from .corpus import Collector, SubmissionDatabase, family_for_tag, mp_families
-from .core import (
-    ENCODER_KINDS, ExperimentConfig, PerformanceGate, TrainConfig,
-    build_model, run_experiment,
-)
-from .nn.serialize import load_state
+from .core import ENCODER_KINDS, ExperimentConfig, TrainConfig, run_experiment
 from .viz import table
 
 __all__ = ["main", "build_parser"]
@@ -111,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="machine-readable report on stdout")
 
     backend_help = ("kernel backend: numpy64 (default), numpy32 "
-                    "(float32 end-to-end), numba (JIT kernels, if "
-                    "installed), cnative (self-compiled C kernels, if a "
-                    "C compiler is on hand); overrides REPRO_BACKEND")
+                    "(float32 end-to-end), cnative (self-compiled C "
+                    "kernels, if a C compiler is on hand); overrides "
+                    "REPRO_BACKEND")
 
     train = sub.add_parser("train", help="train a comparative model")
     train.add_argument("--backend", default=None, help=backend_help)
@@ -442,44 +438,39 @@ def _cmd_train(args) -> int:
                             resume_from=resume_from,
                             resume_cast=args.cast)
 
-    engine = result.trainer.engine
+    engine = result.engine
     written = engine.save_checkpoint(
         args.out, extra=dict(extra, epochs=engine.state.epoch,
                              accuracy=result.evaluation.accuracy))
-    # legacy sidecar, kept for pre-checkpoint tooling
-    meta = {"encoder": config.encoder_kind,
-            "embedding_dim": config.embedding_dim,
-            "hidden": config.hidden_size, "seed": config.seed,
-            "accuracy": result.evaluation.accuracy}
-    Path(args.out).with_suffix(".json").write_text(json.dumps(meta))
     resumed = f" (resumed from {args.resume})" if args.resume else ""
     print(f"trained on {len(subs)} submissions; held-out accuracy="
           f"{result.evaluation.accuracy:.3f}; model -> {written}{resumed}")
     return 0
 
 
-def _load_model(path, cast=False):
-    """Versioned checkpoint, or the legacy npz + sidecar-JSON layout."""
-    from .serve.checkpoint import NotACheckpointError, load_checkpoint
+def _load_model(args):
+    """The ``--model`` checkpoint. A missing, unreadable or
+    non-checkpoint file exits with a one-line error naming the flag."""
+    from .serve import load_checkpoint
 
     try:
-        return load_checkpoint(path, cast=cast)
-    except NotACheckpointError:
-        meta = json.loads(Path(path).with_suffix(".json").read_text())
-        model = build_model(encoder_kind=meta["encoder"],
-                            embedding_dim=meta["embedding_dim"],
-                            hidden_size=meta["hidden"], seed=meta["seed"])
-        model.load_state_dict(load_state(path))
-        return model
+        return load_checkpoint(args.model, cast=args.cast)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"--model: {error}")
 
 
 def _cmd_predict(args) -> int:
+    from .serve import PredictionService
+
     _apply_backend(args)
-    gate = PerformanceGate(_load_model(args.model, cast=args.cast),
-                           flag_threshold=args.threshold)
-    old_source = Path(args.old).read_text()
-    new_source = Path(args.new).read_text()
-    report = gate.check(old_source, new_source)
+    if not 0.0 < args.threshold < 1.0:
+        raise SystemExit(
+            f"--threshold: must be in (0, 1), got {args.threshold}")
+    with PredictionService(_load_model(args), threaded=False) as service:
+        old_source = Path(args.old).read_text()
+        new_source = Path(args.new).read_text()
+        report = service.check_regression(old_source, new_source,
+                                          args.threshold)
     flag = "FLAG: likely regression" if report["flagged"] else "pass"
     print(f"P(new version is slower) = "
           f"{report['regression_probability']:.3f} -> {flag}")
@@ -531,10 +522,10 @@ def _cmd_serve(args) -> int:
     # The CLI drives the service sequentially, so the batcher runs
     # inline (the latency trigger only matters for concurrent clients
     # embedding PredictionService directly).
-    service = PredictionService.from_checkpoint(
-        args.model, cast=args.cast, max_batch=args.max_batch,
-        cache_size=args.cache_size,
-        cache_max_nodes=args.cache_max_nodes, threaded=False)
+    service = PredictionService(
+        _load_model(args), max_batch=args.max_batch,
+        cache_size=args.cache_size, cache_max_nodes=args.cache_max_nodes,
+        threaded=False)
     metrics_server = None
     if args.metrics_port is not None:
         from .obs.expose import MetricsHTTPServer

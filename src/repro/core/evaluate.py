@@ -1,11 +1,11 @@
-"""Experiment-level evaluation: generalization, sensitivity, matrices.
+"""Experiment-level evaluation: generalization and sensitivity.
 
 Implements the measurement protocols of Section VI:
 
 * same-problem accuracy on a disjoint submission split (the line plots
   of Fig. 3),
 * cross-problem accuracy (the boxplots of Fig. 3 and the F/G/I matrix
-  of Table II),
+  of Table II, built by the drivers from ``evaluate_on_pairs``),
 * sensitivity to the minimum runtime gap (Fig. 6).
 """
 
@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus.problem import Submission
-from ..data.pairs import CodePair, sample_pairs
-from .trainer import Trainer
+from ..data.pairs import CodePair
+from ..engine import Engine
 
-__all__ = ["EvalResult", "evaluate_on_pairs", "cross_problem_matrix",
-           "sensitivity_curve"]
+__all__ = ["EvalResult", "evaluate_on_pairs", "sensitivity_curve"]
 
 
 @dataclass
@@ -30,46 +28,30 @@ class EvalResult:
     num_pairs: int
 
 
-def evaluate_on_pairs(trainer: Trainer, pairs: list[CodePair],
+def evaluate_on_pairs(engine: Engine, pairs: list[CodePair],
                       batch_size: int | None = None) -> EvalResult:
     """Accuracy/AUC over ``pairs``; probabilities are computed with the
     forest-batched inference path (``batch_size`` pairs per fused
-    encode, defaulting to the trainer's ``eval_batch_size``)."""
+    encode, defaulting to the engine's ``eval_batch_size``)."""
     from .metrics import accuracy as accuracy_fn
     from .metrics import auc as auc_fn
 
     if not pairs:
         raise ValueError("no evaluation pairs")
-    probs = trainer.predict_probabilities(pairs, batch_size=batch_size)
+    probs = engine.predict_probabilities(pairs, batch_size=batch_size)
     labels = np.array([p.label for p in pairs])
     return EvalResult(accuracy=accuracy_fn(labels, probs),
                       auc=auc_fn(labels, probs),
                       num_pairs=len(pairs))
 
 
-def cross_problem_matrix(trainers: dict[str, Trainer],
-                         eval_submissions: dict[str, list[Submission]],
-                         pairs_per_cell: int,
-                         seed: int = 0) -> dict[tuple[str, str], float]:
-    """Table II: accuracy of the model trained on row-tag, evaluated on
-    pairs from column-tag submissions."""
-    matrix: dict[tuple[str, str], float] = {}
-    for train_tag, trainer in trainers.items():
-        for test_tag, subs in eval_submissions.items():
-            rng = np.random.default_rng(seed + hash((train_tag, test_tag)) % 10_000)
-            pairs = sample_pairs(subs, pairs_per_cell, rng)
-            matrix[(train_tag, test_tag)] = \
-                evaluate_on_pairs(trainer, pairs).accuracy
-    return matrix
-
-
-def sensitivity_curve(trainer: Trainer, pairs: list[CodePair],
+def sensitivity_curve(engine: Engine, pairs: list[CodePair],
                       thresholds_ms: list[float]) -> list[tuple[float, float, int]]:
     """Fig. 6: accuracy restricted to pairs whose runtime gap exceeds a
     minimum, for each threshold. Returns (threshold, accuracy, n)."""
     from .metrics import accuracy as accuracy_fn
 
-    probs = trainer.predict_probabilities(pairs)
+    probs = engine.predict_probabilities(pairs)
     labels = np.array([p.label for p in pairs])
     gaps = np.array([p.gap_ms for p in pairs])
     curve = []

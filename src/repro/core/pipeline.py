@@ -3,9 +3,10 @@ integration of Section I).
 
 ``run_experiment`` goes from a submission list to a trained model and
 its disjoint-split accuracy in one call — the unit every benchmark
-composes. ``PerformanceGate`` wraps a trained model as the tool the
-paper envisions: given the current and the proposed version of a
-source file, flag likely regressions before any test is run.
+composes. The regression check the paper envisions (given the current
+and the proposed version of a source file, flag likely regressions
+before any test is run) is
+:meth:`repro.serve.PredictionService.check_regression`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ import numpy as np
 from ..corpus.problem import Submission
 from ..data.pairs import CodePair, sample_pairs
 from ..data.splits import split_submissions
-from ..engine import train_pairs_model
+from ..engine import Engine, TrainConfig
 from .evaluate import EvalResult, evaluate_on_pairs
-from .model import ComparativeModel
-from .trainer import TrainConfig, Trainer
+from .model import ComparativeModel, build_model
 
-__all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment",
-           "PerformanceGate"]
+__all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment"]
 
 
 @dataclass
@@ -46,7 +45,7 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    trainer: Trainer
+    engine: Engine
     evaluation: EvalResult | None
     train_submissions: list[Submission]
     test_submissions: list[Submission]
@@ -78,46 +77,24 @@ def run_experiment(submissions: list[Submission],
                                two_way=config.two_way)
     test_pairs = (sample_pairs(test_subs, config.eval_pairs, rng)
                   if config.eval_pairs else [])
-    run = train_pairs_model(
-        train_pairs, train=config.train, callbacks=callbacks, model=model,
-        encoder_kind=config.encoder_kind, embedding_dim=config.embedding_dim,
-        hidden_size=config.hidden_size, num_layers=config.num_layers,
-        direction=config.direction, seed=config.seed,
-        resume_from=resume_from, resume_cast=resume_cast)
-    trainer = run.trainer
-    evaluation = evaluate_on_pairs(trainer, test_pairs) if test_pairs else None
-    return ExperimentResult(trainer=trainer, evaluation=evaluation,
+    if resume_from is not None:
+        # callbacks ride along into from_checkpoint so stateful ones are
+        # installed before the restore and recover their saved state
+        engine = Engine.from_checkpoint(resume_from, config=config.train,
+                                        extra_callbacks=callbacks,
+                                        cast=resume_cast)
+    else:
+        if model is None:
+            model = build_model(
+                encoder_kind=config.encoder_kind,
+                embedding_dim=config.embedding_dim,
+                hidden_size=config.hidden_size, num_layers=config.num_layers,
+                direction=config.direction, seed=config.seed)
+        engine = Engine(model, config.train)
+        for callback in callbacks:
+            engine.add_callback(callback)
+    history = engine.fit(train_pairs)
+    evaluation = evaluate_on_pairs(engine, test_pairs) if test_pairs else None
+    return ExperimentResult(engine=engine, evaluation=evaluation,
                             train_submissions=train_subs,
-                            test_submissions=test_subs, history=run.history)
-
-
-class PerformanceGate:
-    """Developer-facing wrapper: compare two versions of a program.
-
-    ``check(old, new)`` returns the model's probability that the *new*
-    version is slower than the old one, plus an accept/flag decision at
-    a confidence threshold chosen per Section VII (raising it trades
-    recall for precision on regressions).
-    """
-
-    def __init__(self, model: ComparativeModel, flag_threshold: float = 0.5):
-        if not 0.0 < flag_threshold < 1.0:
-            raise ValueError("flag_threshold must be in (0, 1)")
-        self.model = model
-        self.flag_threshold = flag_threshold
-
-    def regression_probability(self, old_source: str, new_source: str) -> float:
-        """P(new is slower-or-equal than old).
-
-        Eq. (1) labels a pair (p_i, p_j) with 1 when p_i is slower; to
-        score the *new* version we place it first.
-        """
-        return self.model.predict_probability(new_source, old_source)
-
-    def check(self, old_source: str, new_source: str) -> dict:
-        prob = self.regression_probability(old_source, new_source)
-        return {
-            "regression_probability": prob,
-            "flagged": prob >= self.flag_threshold,
-            "threshold": self.flag_threshold,
-        }
+                            test_submissions=test_subs, history=history)

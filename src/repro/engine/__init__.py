@@ -1,11 +1,12 @@
 """repro.engine — the single resumable, instrumented training loop.
 
-Every training flow in the repository (``Trainer``, ``run_experiment``,
-the paper-figure drivers, HPO trials, ``repro train``) is a thin facade
-over one :class:`Engine`: an event-driven epoch/step loop whose optional
-behaviours — metric logging, early stopping, periodic checkpointing,
-trial pruning — are :class:`~repro.engine.callbacks.Callback` objects
-instead of inlined code.
+Every training flow in the repository (``run_experiment``, the
+paper-figure drivers, HPO trials, ``repro train``) builds one
+:class:`Engine` and calls ``fit``: an event-driven epoch/step loop
+whose optional behaviours — metric logging, early stopping, periodic
+checkpointing, trial pruning — are
+:class:`~repro.engine.callbacks.Callback` objects instead of inlined
+code.
 
 The engine checkpoints *complete* training state (weights + encoder
 config + vocab + optimizer moments + RNG stream + counters + history;
@@ -46,11 +47,9 @@ from .callbacks import (
     standard_callbacks,
 )
 from .loop import Engine, EngineState, TrainConfig, TrainHistory
-from .run import TrainRun, train_pairs_model
 
 __all__ = [
     "Engine", "EngineState", "TrainConfig", "TrainHistory",
     "Callback", "GradNormLogging", "EarlyStopping", "ProgressLogger",
     "Checkpointing", "standard_callbacks",
-    "TrainRun", "train_pairs_model",
 ]

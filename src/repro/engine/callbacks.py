@@ -76,8 +76,8 @@ class EarlyStopping(Callback):
     """Stop after ``patience`` epochs without a validation improvement.
 
     Inactive on epochs with no validation data (``val_accuracy`` is
-    ``None``), mirroring the historical ``Trainer.fit`` behaviour of
-    only early-stopping when ``val_pairs`` were supplied.
+    ``None``): early stopping only applies when ``fit`` is given
+    ``val_pairs``.
     """
 
     state_key = "early_stopping"
@@ -183,7 +183,7 @@ class Checkpointing(Callback):
 
 
 def standard_callbacks(config) -> list[Callback]:
-    """The default stack matching the historical ``Trainer.fit``:
+    """The default stack ``Engine`` installs when given no callbacks:
     grad-norm logging, early stopping when the config enables it, and a
     progress line when verbose."""
     callbacks: list[Callback] = [GradNormLogging()]

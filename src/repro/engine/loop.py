@@ -1,12 +1,10 @@
 """The one training loop: ``Engine.fit`` drives every training run.
 
-Before this module existed the repo carried five hand-rolled copies of
-the epoch/step loop (``Trainer.fit``, ``run_experiment``, the driver
-helper, Fig. 5's inline ablation trainer, and the HPO objective). They
-are all facades over :class:`Engine` now: one loop that owns the
-optimizer, the shuffle RNG, and the metric history, and that emits
-callback events (:mod:`repro.engine.callbacks`) where the old copies
-inlined behaviour.
+Every training run (``run_experiment``, the Fig. 5 ablations, the HPO
+objective, ``repro train``) builds an :class:`Engine` and calls
+``fit``: one loop that owns the optimizer, the shuffle RNG, and the
+metric history, and that emits callback events
+(:mod:`repro.engine.callbacks`) for optional behaviour.
 
 The loop is **resumable**: :meth:`Engine.save_checkpoint` writes a
 format-v2 checkpoint (weights + encoder config + vocab + optimizer
@@ -237,10 +235,9 @@ class Engine:
     def fit(self, train_pairs, val_pairs=None) -> TrainHistory:
         """Train until ``config.epochs`` (or a callback requests a stop).
 
-        Calling ``fit`` again restarts from scratch (same semantics as
-        the historical ``Trainer.fit``) — except on an engine freshly
-        restored by :meth:`from_checkpoint`, whose first ``fit`` resumes
-        from the checkpointed epoch.
+        Calling ``fit`` again restarts from scratch — except on an
+        engine freshly restored by :meth:`from_checkpoint`, whose first
+        ``fit`` resumes from the checkpointed epoch.
         """
         if not train_pairs:
             raise ValueError("no training pairs")

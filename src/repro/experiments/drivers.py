@@ -15,12 +15,12 @@ import numpy as np
 
 from ..corpus import SubmissionDatabase, TABLE1_COUNTS
 from ..core import (
-    ExperimentConfig, TrainConfig, Trainer, evaluate_on_pairs, roc_curve,
+    ExperimentConfig, TrainConfig, build_model, evaluate_on_pairs, roc_curve,
     run_experiment, sensitivity_curve,
 )
 from ..corpus.problem import Submission
 from ..data import sample_pairs, split_submissions, subset_submissions
-from ..engine import train_pairs_model
+from ..engine import Engine
 from ..tuning import Study, TpeLiteSampler, TrialPruningCallback
 from ..viz import (
     box_summary, code_embedding_map, line_plot, node_embedding_atlas,
@@ -52,7 +52,7 @@ PAPER_TABLE1_MEDIANS = {"A": 1269, "B": 658, "C": 437, "D": 534, "E": 80,
 @dataclass
 class TrainedProblemModel:
     tag: str
-    trainer: Trainer
+    engine: Engine
     train_submissions: list[Submission]
     test_submissions: list[Submission]
     encoder_kind: str
@@ -81,7 +81,7 @@ def train_problem_model(submissions: list[Submission], profile: ScaleProfile,
             batch_size=profile.batch_size,
             learning_rate=profile.learning_rate, seed=seed))
     result = run_experiment(submissions, config)
-    return TrainedProblemModel(tag=tag, trainer=result.trainer,
+    return TrainedProblemModel(tag=tag, engine=result.engine,
                                train_submissions=result.train_submissions,
                                test_submissions=result.test_submissions,
                                encoder_kind=encoder_kind)
@@ -91,7 +91,7 @@ def _eval_on(trained: TrainedProblemModel, submissions: list[Submission],
              count: int, seed: int = 17) -> float:
     rng = np.random.default_rng(seed)
     pairs = sample_pairs(submissions, count, rng)
-    return evaluate_on_pairs(trained.trainer, pairs).accuracy
+    return evaluate_on_pairs(trained.engine, pairs).accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def run_fig4(table1_db: SubmissionDatabase, profile: ScaleProfile,
                                   seed=seed, tag=tag)
     rng = np.random.default_rng(seed + 1)
     pairs = sample_pairs(trained.test_submissions, profile.eval_pairs, rng)
-    probs = trained.trainer.predict_probabilities(pairs)
+    probs = trained.engine.predict_probabilities(pairs)
     labels = np.array([p.label for p in pairs])
     curve = roc_curve(labels, probs)
     return Fig4Result(fpr=curve.fpr, tpr=curve.tpr, auc=curve.auc)
@@ -337,13 +337,13 @@ def run_fig5(table1_db: SubmissionDatabase, profile: ScaleProfile,
         # One engine call per ablation point: sample, train, score.
         local_rng = np.random.default_rng(run_seed)
         pairs = sample_pairs(train_subs, n_pairs, local_rng, two_way=two_way)
-        run = train_pairs_model(
-            pairs, embedding_dim=profile.embedding_dim,
-            hidden_size=profile.hidden_size, seed=run_seed,
-            train=TrainConfig(
-                epochs=profile.epochs, batch_size=profile.batch_size,
-                learning_rate=profile.learning_rate, seed=run_seed))
-        return evaluate_on_pairs(run.engine, test_pairs).accuracy
+        model = build_model(embedding_dim=profile.embedding_dim,
+                            hidden_size=profile.hidden_size, seed=run_seed)
+        engine = Engine(model, TrainConfig(
+            epochs=profile.epochs, batch_size=profile.batch_size,
+            learning_rate=profile.learning_rate, seed=run_seed))
+        engine.fit(pairs)
+        return evaluate_on_pairs(engine, test_pairs).accuracy
 
     submissions_curve = []
     for size in submission_sizes:
@@ -406,7 +406,7 @@ def run_fig6(table1_db: SubmissionDatabase, profile: ScaleProfile,
         gaps = sorted(p.gap_ms for p in pairs)
         thresholds = [0.0] + [float(np.percentile(gaps, q))
                               for q in (25, 50, 75, 90)]
-        curves[tag] = sensitivity_curve(trained.trainer, pairs, thresholds)
+        curves[tag] = sensitivity_curve(trained.engine, pairs, thresholds)
     return Fig6Result(curves=curves)
 
 
@@ -455,7 +455,7 @@ def run_fig7(table1_db: SubmissionDatabase, profile: ScaleProfile,
     for tag in tags:
         pool.extend(table1_db.submissions(tag))
     trained = train_problem_model(pool, profile, seed=seed, tag="+".join(tags))
-    model = trained.trainer.model
+    model = trained.engine.model
 
     atlas = node_embedding_atlas(model, n_iter=250, seed=seed)
     groups = {tag: table1_db.submissions(tag)[:12] for tag in tags}
@@ -507,18 +507,17 @@ def run_hpo(table1_db: SubmissionDatabase, profile: ScaleProfile,
     def objective(trial):
         layers = trial.suggest_int("layers", 1, 8)
         hidden = trial.suggest_int("hidden", 8, 32)
-        run = train_pairs_model(
-            train_pairs, encoder_kind="gcn",
-            embedding_dim=profile.embedding_dim, hidden_size=hidden,
-            num_layers=layers, seed=seed,
-            val_pairs=test_pairs if pruner is not None else None,
-            callbacks=([TrialPruningCallback(trial)]
-                       if pruner is not None else ()),
-            train=TrainConfig(
-                epochs=max(2, profile.epochs // 2),
-                batch_size=profile.batch_size,
-                learning_rate=profile.learning_rate, seed=seed))
-        return evaluate_on_pairs(run.engine, test_pairs).accuracy
+        model = build_model("gcn", embedding_dim=profile.embedding_dim,
+                            hidden_size=hidden, num_layers=layers, seed=seed)
+        engine = Engine(model, TrainConfig(
+            epochs=max(2, profile.epochs // 2),
+            batch_size=profile.batch_size,
+            learning_rate=profile.learning_rate, seed=seed))
+        if pruner is not None:
+            engine.add_callback(TrialPruningCallback(trial))
+        engine.fit(train_pairs,
+                   val_pairs=test_pairs if pruner is not None else None)
+        return evaluate_on_pairs(engine, test_pairs).accuracy
 
     study = Study(direction="maximize", sampler=TpeLiteSampler(seed=seed),
                   pruner=pruner)

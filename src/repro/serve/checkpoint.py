@@ -63,8 +63,8 @@ class NotACheckpointError(ValueError):
     """The archive is a plain state dict, not a versioned checkpoint.
 
     Distinct from other ``ValueError``s (e.g. a *newer-version*
-    checkpoint) so callers can fall back to legacy formats without
-    masking real diagnostics.
+    checkpoint) so callers can tell a wrong kind of file from a
+    checkpoint they cannot read.
     """
 
 

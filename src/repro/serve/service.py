@@ -357,8 +357,9 @@ class PredictionService:
 
     def check_regression(self, old_source: str, new_source: str,
                          threshold: float = 0.5) -> dict:
-        """The :class:`~repro.core.PerformanceGate` contract: probability
-        that the *new* version is slower, plus the flag decision."""
+        """The development-phase regression check: probability that the
+        *new* version is slower, plus the flag decision at ``threshold``
+        (raising it trades recall for precision on regressions)."""
         if not 0.0 < threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
         prob = self.compare(new_source, old_source)

@@ -10,8 +10,9 @@ sequential per-tree implementation to numerical noise.
 import numpy as np
 import pytest
 
-from repro.core import TrainConfig, Trainer, build_model, pack_forest
+from repro.core import TrainConfig, build_model, pack_forest
 from repro.data import sample_pairs
+from repro.engine import Engine
 from repro.nn import Tensor, bce_with_logits
 
 from ..helpers import backend_tolerance
@@ -19,11 +20,16 @@ from ..helpers import backend_tolerance
 DIRECTIONS = ("uni", "bi", "alternating")
 
 
-class SequentialTrainer(Trainer):
-    """Reference trainer: the pre-forest per-pair loss (one encoder
-    invocation per tree), used as the ground truth for equivalence."""
+class SequentialEngine(Engine):
+    """Reference engine: the pre-forest per-pair loss (one encoder
+    invocation per tree), used as the ground truth for equivalence.
+    ``sequential_batches`` counts the batches it scored, so a test can
+    prove ``fit`` really went through this objective."""
+
+    sequential_batches = 0
 
     def _batch_loss(self, batch):
+        self.sequential_batches += 1
         logits = [self.model.pair_logit(fi, fj) for fi, fj, _ in batch]
         targets = np.array([label for _, _, label in batch], dtype=float)
         return bce_with_logits(Tensor.stack(logits, axis=0), targets)
@@ -70,22 +76,22 @@ class TestLogitEquivalence:
 
     def test_predict_probabilities_batch_size_invariant(self, corpus_c):
         model = build_model(embedding_dim=8, hidden_size=8, seed=1)
-        trainer = Trainer(model)
+        engine = Engine(model)
         pairs = _pairs(corpus_c, 10, seed=4)
-        p_big = trainer.predict_probabilities(pairs, batch_size=10)
-        p_small = trainer.predict_probabilities(pairs, batch_size=3)
-        p_one = trainer.predict_probabilities(pairs, batch_size=1)
+        p_big = engine.predict_probabilities(pairs, batch_size=10)
+        p_small = engine.predict_probabilities(pairs, batch_size=3)
+        p_one = engine.predict_probabilities(pairs, batch_size=1)
         np.testing.assert_allclose(p_big, p_small, atol=backend_tolerance(1e-8))
         np.testing.assert_allclose(p_big, p_one, atol=backend_tolerance(1e-8))
 
     def test_predict_probabilities_rejects_bad_batch_size(self, corpus_c):
         model = build_model(embedding_dim=8, hidden_size=8)
-        trainer = Trainer(model)
+        engine = Engine(model)
         pairs = _pairs(corpus_c, 2)
         with pytest.raises(ValueError, match="positive"):
-            trainer.predict_probabilities(pairs, batch_size=-1)
+            engine.predict_probabilities(pairs, batch_size=-1)
         with pytest.raises(ValueError, match="positive"):
-            trainer.predict_probabilities(pairs, batch_size=0)
+            engine.predict_probabilities(pairs, batch_size=0)
         with pytest.raises(ValueError, match="positive"):
             model.embed_batch([pairs[0].first.source], batch_size=0)
 
@@ -102,8 +108,11 @@ class TestTrainingEquivalence:
                               direction=direction, seed=9)
         model_b = build_model(embedding_dim=8, hidden_size=8, num_layers=2,
                               direction=direction, seed=9)
-        hist_batched = Trainer(model_a, config).fit(pairs)
-        hist_sequential = SequentialTrainer(model_b, config).fit(pairs)
+        hist_batched = Engine(model_a, config).fit(pairs)
+        sequential = SequentialEngine(model_b, config)
+        hist_sequential = sequential.fit(pairs)
+        # 12 pairs in batches of 4 for 2 epochs
+        assert sequential.sequential_batches == 6
 
         np.testing.assert_allclose(hist_batched.losses,
                                    hist_sequential.losses, atol=backend_tolerance(1e-7))

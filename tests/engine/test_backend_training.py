@@ -14,7 +14,7 @@ from repro.serve.checkpoint import (CheckpointDtypeError,
                                     load_training_checkpoint,
                                     read_checkpoint_meta)
 
-BACKENDS = ["numpy64", "numpy32", "numba", "cnative"]
+BACKENDS = ["numpy64", "numpy32", "cnative"]
 
 
 def _backend_or_skip(name: str):

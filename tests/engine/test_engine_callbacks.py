@@ -93,8 +93,8 @@ class TestCallbackProtocol:
 
 class TestRefitSemantics:
     def test_second_fit_restarts_fresh(self, small_pairs):
-        """Matching the historical Trainer: each fit() is a full fresh
-        run (same shuffle stream, fresh history), not a continuation."""
+        """Each fit() is a full fresh run (same shuffle stream, fresh
+        history), not a continuation."""
         engine = _engine()
         first = engine.fit(small_pairs)
         losses = list(first.losses)

@@ -142,13 +142,11 @@ class EpochCounter(Callback):
         self.epochs_seen = int(state["epochs_seen"])
 
 
-def test_extra_callback_state_restored_through_train_pairs_model(
+def test_extra_callback_state_restored_through_from_checkpoint(
         corpus_c, tmp_path):
     """Caller-supplied (extra) callbacks passed at resume time must be
     installed before the state restore, so their checkpointed state
     comes back — the extension point the module advertises."""
-    from repro.engine import train_pairs_model
-
     pairs = sample_pairs(corpus_c, 12, np.random.default_rng(2))
     engine = Engine(_make_model("gcn"), TrainConfig(epochs=2, batch_size=6))
     counter = EpochCounter()
@@ -158,9 +156,11 @@ def test_extra_callback_state_restored_through_train_pairs_model(
     ckpt = engine.save_checkpoint(tmp_path / "cb.npz")
 
     fresh = EpochCounter()
-    run = train_pairs_model(pairs, resume_from=ckpt, callbacks=[fresh],
-                            train=TrainConfig(epochs=4, batch_size=6))
-    assert run.engine.state.epoch == 4
+    resumed = Engine.from_checkpoint(
+        ckpt, config=TrainConfig(epochs=4, batch_size=6),
+        extra_callbacks=[fresh])
+    resumed.fit(pairs)
+    assert resumed.state.epoch == 4
     assert fresh.epochs_seen == 4          # 2 restored + 2 resumed
 
 

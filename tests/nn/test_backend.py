@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.nn import backend as nn_backend
-from repro.nn.backend import BackendUnavailableError, BufferPool
+from repro.nn.backend import BufferPool
 from repro.nn.tensor import Tensor
 from repro.nn.treelstm import _segment_reduce, _segment_sum
 
@@ -20,7 +20,7 @@ from ..helpers import (backend_tolerance, check_gradients,
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-ALL_BACKENDS = ["numpy64", "numpy32", "numba", "cnative"]
+ALL_BACKENDS = ["numpy64", "numpy32", "cnative"]
 
 
 def _backend_or_skip(name: str):
@@ -50,14 +50,6 @@ class TestRegistry:
         names = nn_backend.available_backends()
         assert "numpy64" in names
         assert "numpy32" in names
-
-    def test_unavailable_backend_selection_raises(self):
-        if "numba" in nn_backend.available_backends():
-            pytest.skip("numba installed; unavailability path not testable")
-        with pytest.raises(BackendUnavailableError):
-            nn_backend.get("numba")
-        with pytest.raises(BackendUnavailableError):
-            nn_backend.set_backend("numba")
 
     def test_use_is_scoped_and_restores(self):
         before = nn_backend.active().name
@@ -102,20 +94,6 @@ class TestRegistry:
         proc = self._spawn("cuda", "import repro.nn.backend")
         assert proc.returncode != 0
         assert "REPRO_BACKEND" in proc.stderr
-
-    def test_env_unavailable_backend_falls_back_with_warning(self):
-        if "numba" in nn_backend.available_backends():
-            pytest.skip("numba installed; fallback path not testable")
-        proc = self._spawn("numba", (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as w:\n"
-            "    warnings.simplefilter('always')\n"
-            "    from repro.nn import backend\n"
-            "assert backend.active().name == 'numpy64'\n"
-            "assert any('falling back' in str(x.message) for x in w), w\n"
-            "print('ok')"))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
 
 
 class TestBufferPool:
@@ -497,32 +475,3 @@ class TestNumpy32Equivalence:
             assert p.data.dtype == np.float32
             assert all(m.dtype == np.float32 for m in opt._m)
             assert all(v.dtype == np.float32 for v in opt._v)
-
-
-@pytest.mark.parametrize("name", ["numpy64", "numba"])
-class TestNumbaMatchesNumpy64:
-    """The JIT kernels keep the reduceat summation order, so the 1e-8
-    (in practice bitwise) bar applies. Skipped when numba is absent."""
-
-    def test_segment_kernels_bitwise(self, name):
-        data = rand((64, 16))
-        ids = np.sort(np.random.default_rng(0).integers(0, 9, size=64))
-        with _backend_or_skip(name) as b:
-            out = b.segment_sum(data, ids, 10)
-            pair = b.segment_sum_pair(data, data[::-1].copy(), ids, 10)
-        ref = nn_backend.get("numpy64").segment_sum(data, ids, 10)
-        np.testing.assert_allclose(out, ref, atol=1e-8)
-        assert pair.shape == (10, 32)
-
-    def test_take_and_scatter(self, name):
-        data = rand((20, 8))
-        rows = np.array([3, 3, 0, 19, 7])
-        vals = rand((5, 8), 1)
-        with _backend_or_skip(name) as b:
-            taken = b.take_rows(data, rows)
-            out = np.zeros_like(data)
-            b.scatter_add_rows(out, rows, vals)
-        np.testing.assert_array_equal(taken, data[rows])
-        ref = np.zeros_like(data)
-        np.add.at(ref, rows, vals)
-        np.testing.assert_allclose(out, ref, atol=1e-8)

@@ -111,10 +111,14 @@ class TestTrainAndPredict:
         return model
 
     def test_train_writes_model_and_meta(self, model_path):
+        from repro.serve import read_checkpoint_meta
+
         assert model_path.exists()
-        meta = json.loads(model_path.with_suffix(".json").read_text())
-        assert meta["encoder"] == "gcn"
-        assert 0.0 <= meta["accuracy"] <= 1.0
+        meta = read_checkpoint_meta(model_path)
+        assert meta["model"]["encoder_kind"] == "gcn"
+        assert 0.0 <= meta["extra"]["accuracy"] <= 1.0
+        # the checkpoint is the only model file: no sidecar JSON
+        assert not model_path.with_suffix(".json").exists()
 
     def test_predict_orders_fast_vs_slow(self, workspace, model_path, capsys):
         root, db_path = workspace
@@ -149,11 +153,45 @@ class TestTrainAndPredict:
                      "--threshold", "0.99"])
         assert code == 0  # not flagged at an extreme threshold
 
+    def test_predict_rejects_out_of_range_threshold(self, workspace,
+                                                    model_path):
+        root, _ = workspace
+        same = root / "threshold.cpp"
+        same.write_text("int main() { return 0; }")
+        with pytest.raises(SystemExit, match="^--threshold: "):
+            main(["predict", "--model", str(model_path), "--old", str(same),
+                  "--new", str(same), "--threshold", "1.5"])
+
     def test_tag_required_without_resume(self, workspace, tmp_path):
         _, db_path = workspace
         with pytest.raises(SystemExit):
             main(["train", "--db", str(db_path),
                   "--out", str(tmp_path / "m.npz")])
+
+
+class TestModelFileErrors:
+    """A --model file that is not a checkpoint (here a plain state dict,
+    the format the removed sidecar layout used) is a one-line error
+    naming the flag, not a traceback."""
+
+    @pytest.fixture
+    def plain_state(self, tmp_path):
+        from repro.core import build_model
+        from repro.nn.serialize import save_state
+
+        model = build_model(embedding_dim=8, hidden_size=8)
+        return save_state(model.state_dict(), tmp_path / "plain.npz")
+
+    def test_predict_rejects_plain_state_dict(self, plain_state, tmp_path):
+        source = tmp_path / "a.cpp"
+        source.write_text("int main() { return 0; }")
+        with pytest.raises(SystemExit, match="^--model: .*plain.npz"):
+            main(["predict", "--model", str(plain_state),
+                  "--old", str(source), "--new", str(source)])
+
+    def test_serve_rejects_plain_state_dict(self, plain_state):
+        with pytest.raises(SystemExit, match="^--model: .*plain.npz"):
+            main(["serve", "--model", str(plain_state)])
 
 
 class TestResumeTraining:

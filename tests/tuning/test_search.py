@@ -204,7 +204,7 @@ class TestEnginePruningCallback:
         TrialPruned out of fit and the study records it as PRUNED."""
         from repro.core import build_model
         from repro.data import sample_pairs
-        from repro.engine import train_pairs_model, TrainConfig
+        from repro.engine import Engine, TrainConfig
 
         train_pairs = sample_pairs(corpus_c, 12, np.random.default_rng(0))
         val_pairs = sample_pairs(corpus_c, 8, np.random.default_rng(1))
@@ -221,13 +221,13 @@ class TestEnginePruningCallback:
 
         def objective(trial):
             trial.suggest_int("hidden", 8, 8)
-            run = train_pairs_model(
-                train_pairs, encoder_kind="gcn", embedding_dim=8,
-                hidden_size=8, seed=0, val_pairs=val_pairs,
-                callbacks=[TrialPruningCallback(trial)],
-                train=TrainConfig(epochs=3, batch_size=6))
-            epochs_ran.append(run.engine.state.epoch)
-            return run.engine.evaluate_accuracy(val_pairs)
+            engine = Engine(build_model("gcn", embedding_dim=8,
+                                        hidden_size=8, seed=0),
+                            TrainConfig(epochs=3, batch_size=6))
+            engine.add_callback(TrialPruningCallback(trial))
+            engine.fit(train_pairs, val_pairs=val_pairs)
+            epochs_ran.append(engine.state.epoch)
+            return engine.evaluate_accuracy(val_pairs)
 
         study.optimize(objective, n_trials=2)
         assert [t.state for t in study.trials] == ["COMPLETE", "PRUNED"]

@@ -16,9 +16,8 @@ it) and fails CI on:
     engine loop — that is what makes checkpoint/resume bitwise.
 ``kernel-outside-backend``
     In ``src/``, a ``reduceat`` kernel outside
-    ``src/repro/nn/backend.py`` / ``src/repro/nn/_numba_kernels.py``.
-    Hot kernels live behind the backend so dtype policy and JIT
-    dispatch stay in one place.
+    ``src/repro/nn/backend.py``. Hot kernels live behind the backend so
+    dtype policy and kernel dispatch stay in one place.
 ``sleep-in-serve-tests``
     A ``time.sleep`` call under ``tests/serve/`` — serve tests are
     driven by seeded fault plans, not wall-clock waits. A genuinely
@@ -69,9 +68,8 @@ RULES = ("training-loop-outside-engine", "kernel-outside-backend",
 
 #: the one file allowed to drive optimizer steps and epoch loops
 _ENGINE_LOOP = "src/repro/engine/loop.py"
-#: the only homes for the reduceat kernel
-_KERNEL_HOMES = frozenset({"src/repro/nn/backend.py",
-                           "src/repro/nn/_numba_kernels.py"})
+#: the only home for the reduceat kernel
+_KERNEL_HOMES = frozenset({"src/repro/nn/backend.py"})
 #: receivers whose ``.step()`` is a training-loop step
 _STEP_RECEIVERS = ("opt", "sched")
 #: trees whose counters must live on the obs registry (and whose
