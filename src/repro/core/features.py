@@ -2,11 +2,12 @@
 
 :class:`TreeFeaturizer` runs the full frontend (parse -> simplify ->
 flatten -> vocabulary encoding) and precomputes the evaluation schedule
-for the tree-LSTM and the normalized adjacency for the GCN. Featurized
-trees are cached by source hash: the corpus pairs reuse the same
-submissions many times. Tree-LSTM schedules are additionally memoized
-on tree *structure* (:func:`repro.nn.treelstm.schedule_for`), so two
-submissions with the same AST shape share one schedule object.
+for the tree-LSTM; the GCN's dense normalized adjacency is built on
+first use only. Featurized trees are cached by source text: the corpus
+pairs reuse the same submissions many times. Tree-LSTM schedules are
+additionally memoized on tree *structure*
+(:func:`repro.nn.treelstm.schedule_for`), so two submissions with the
+same AST shape share one schedule object.
 
 :func:`pack_forest` fuses a mini-batch of featurized trees into one
 :class:`ForestFeatures` — concatenated node IDs plus a merged
@@ -16,7 +17,8 @@ single level-batched pass over the whole batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +37,19 @@ class TreeFeatures:
 
     node_ids: np.ndarray          # (n,) vocabulary IDs
     schedule: TreeSchedule        # tree-LSTM evaluation order
-    adjacency: np.ndarray         # (n, n) normalized, for the GCN
+    edges: list[tuple[int, int]]  # (parent, child) links
     categories: list[str]         # Fig. 7 colour groups
     kinds: list[str]
+    # memo of repro.serve.cache.canonical_key: the featurizer returns
+    # this same instance for a repeated source, so a tree is hashed once
+    cache_key: str | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """(n, n) normalized adjacency for the GCN, built on first read:
+        a dense n x n matrix per memoized tree is the featurizer's
+        largest allocation, and only the GCN encoder needs it."""
+        return normalized_adjacency(self.num_nodes, self.edges)
 
     @property
     def num_nodes(self) -> int:
@@ -113,15 +125,16 @@ class TreeFeaturizer:
 
     def __init__(self, vocab: NodeVocab | None = None, cache_size: int = 4096):
         self.vocab = vocab if vocab is not None else NodeVocab(frozen=True)
-        self._cache: dict[int, TreeFeatures] = {}
+        self._cache: dict[str, TreeFeatures] = {}
         self._cache_size = cache_size
 
     def __call__(self, source: str) -> TreeFeatures:
         return self.featurize(source)
 
     def featurize(self, source: str) -> TreeFeatures:
-        key = hash(source)
-        hit = self._cache.get(key)
+        # keyed by the text itself: two sources whose hashes collide
+        # must not share features
+        hit = self._cache.get(source)
         if hit is not None:
             return hit
         flat = flatten(simplify(parse(source)))
@@ -129,12 +142,12 @@ class TreeFeaturizer:
             node_ids=np.asarray(self.vocab.encode_all(flat.kinds),
                                 dtype=np.int64),
             schedule=schedule_for(flat.children),
-            adjacency=normalized_adjacency(flat.num_nodes, flat.edges),
+            edges=flat.edges,
             categories=flat.categories,
             kinds=flat.kinds,
         )
         if self._cache_size > 0:
             if len(self._cache) >= self._cache_size:
                 self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = features
+            self._cache[source] = features
         return features

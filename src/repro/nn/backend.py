@@ -58,7 +58,7 @@ import numpy as np
 __all__ = [
     "KernelBackend", "BufferPool", "BackendUnavailableError",
     "register", "get", "active", "set_backend", "use",
-    "available_backends", "default_dtype", "describe",
+    "available_backends", "default_dtype", "describe", "sigmoid_stable",
 ]
 
 
@@ -66,7 +66,7 @@ class BackendUnavailableError(RuntimeError):
     """The requested backend exists but cannot run here (missing dep)."""
 
 
-def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
+def sigmoid_stable(x: np.ndarray) -> np.ndarray:
     """Numerically-stable sigmoid, same branch structure as
     ``Tensor.sigmoid`` so fused-activation outputs match it bitwise."""
     out = np.empty_like(x)
@@ -300,7 +300,7 @@ class KernelBackend:
         if activation is None:
             return out
         if activation == "sigmoid":
-            return _sigmoid_stable(out)
+            return sigmoid_stable(out)
         if activation == "tanh":
             return np.tanh(out)
         if activation == "iou":
@@ -309,7 +309,7 @@ class KernelBackend:
                     "iou activation needs a column count divisible by 3, "
                     f"got {out.shape[-1]}")
             two = 2 * (out.shape[-1] // 3)
-            out[..., :two] = _sigmoid_stable(out[..., :two])
+            out[..., :two] = sigmoid_stable(out[..., :two])
             out[..., two:] = np.tanh(out[..., two:])
             return out
         raise ValueError(f"unknown gemm_gates activation {activation!r}")

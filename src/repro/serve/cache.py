@@ -29,15 +29,19 @@ def canonical_key(features: TreeFeatures) -> str:
 
     Pre-order numbering makes the ``(node_ids, parent)`` pair a
     canonical form: any two sources with the same simplified tree
-    produce byte-identical arrays here.
+    produce byte-identical arrays here. The digest is stored on
+    ``features`` and returned as is on later calls.
     """
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(features.node_ids,
-                                       dtype=np.int64).tobytes())
-    digest.update(b"|")
-    digest.update(np.ascontiguousarray(features.schedule.parent,
-                                       dtype=np.int64).tobytes())
-    return digest.hexdigest()
+    key = features.cache_key
+    if key is None:
+        digest = hashlib.sha256()
+        digest.update(np.ascontiguousarray(features.node_ids,
+                                           dtype=np.int64).tobytes())
+        digest.update(b"|")
+        digest.update(np.ascontiguousarray(features.schedule.parent,
+                                           dtype=np.int64).tobytes())
+        key = features.cache_key = digest.hexdigest()
+    return key
 
 
 class LruCache:

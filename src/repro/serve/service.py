@@ -5,7 +5,7 @@ loads one from a versioned checkpoint) and answers a stream of embed /
 compare / rank queries. Every request follows the same lifecycle::
 
     source --featurize--> canonical key --cache?--> batcher --forest-->
-    embedding --classifier GEMM--> answer
+    embedding --classifier GEMM (ndarray, no autograd graph)--> answer
 
 so the encoder — the only expensive stage — runs exactly once per
 *distinct canonical AST*, and always inside a fused forest batch.
@@ -21,7 +21,7 @@ import numpy as np
 from ..core.features import TreeFeatures
 from ..core.model import ComparativeModel
 from ..nn import backend as nn_backend
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import no_grad
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from .batcher import MicroBatcher
@@ -349,9 +349,8 @@ class PredictionService:
         self._count("compare")
         start = time.perf_counter()
         z = self._embed_sources([first, second])
-        with no_grad():
-            logit = self.model.classifier.logit(Tensor(z[0]), Tensor(z[1]))
-            prob = float(logit.sigmoid().data)
+        logit = self.model.classifier.logits(z[:1], z[1:])
+        prob = float(nn_backend.sigmoid_stable(logit)[0])
         self._latency_by_op["compare"].observe(time.perf_counter() - start)
         return prob
 
@@ -393,18 +392,14 @@ class PredictionService:
         scores = np.full(n, 0.5)
         if n > 1:
             idx_i, idx_j = np.nonzero(~np.eye(n, dtype=bool))
-            with no_grad():
-                logits = self.model.classifier.logits(
-                    Tensor(z[idx_i]), Tensor(z[idx_j]))
-                probs = logits.sigmoid().data
+            probs = nn_backend.sigmoid_stable(
+                self.model.classifier.logits(z[idx_i], z[idx_j]))
             scores = probs.reshape(n, n - 1).mean(axis=1)
         vs_baseline = None
         if baseline is not None:
-            with no_grad():
-                logits = self.model.classifier.logits(
-                    Tensor(z[:n]),
-                    Tensor(np.broadcast_to(z[n], (n, z.shape[1])).copy()))
-                vs_baseline = logits.sigmoid().data
+            vs_baseline = nn_backend.sigmoid_stable(
+                self.model.classifier.logits(
+                    z[:n], np.broadcast_to(z[n], (n, z.shape[1]))))
         report = []
         for i in range(n):
             entry = {"candidate": i, "score": float(scores[i])}

@@ -70,3 +70,49 @@ class TestFeaturizer:
         feats = TreeFeaturizer()(SOURCE)
         np.testing.assert_allclose(feats.adjacency, feats.adjacency.T)
         assert np.linalg.eigvalsh(feats.adjacency).max() <= 1.0 + 1e-9
+
+
+class _CollidingSource(str):
+    """A source string whose hash collides with every other one."""
+
+    def __hash__(self):
+        return 7
+
+
+class TestFeaturizerMemo:
+    def test_hash_collision_does_not_share_features(self):
+        featurizer = TreeFeaturizer()
+        a = featurizer(_CollidingSource("int main() { return 0; }"))
+        b = featurizer(_CollidingSource(
+            "int main() { for (;;) break; return 0; }"))
+        assert a is not b
+        assert a.num_nodes != b.num_nodes
+        assert featurizer(_CollidingSource("int main() { return 0; }")) is a
+
+
+class TestAdjacencyOnDemand:
+    def test_treelstm_never_builds_adjacency(self, monkeypatch):
+        from repro.core import build_model
+        from repro.core import features as features_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("adjacency built for a tree-LSTM")
+
+        monkeypatch.setattr(features_module, "normalized_adjacency",
+                            forbidden)
+        model = build_model("treelstm", embedding_dim=8, hidden_size=8)
+        model.embed(SOURCE)
+        model.predict_probability(SOURCE, "int main() { return 0; }")
+
+    def test_gcn_adjacency_matches_normalized_adjacency(self):
+        from repro.core import build_model
+        from repro.nn import normalized_adjacency
+
+        model = build_model("gcn", embedding_dim=8, hidden_size=8)
+        feats = model.featurizer(SOURCE)
+        model.embed(SOURCE)
+        assert "adjacency" in vars(feats)          # built by the GCN
+        np.testing.assert_array_equal(
+            feats.adjacency, normalized_adjacency(feats.num_nodes,
+                                                  feats.edges))
+        assert feats.adjacency is feats.adjacency  # built once

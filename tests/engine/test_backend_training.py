@@ -14,13 +14,9 @@ from repro.serve.checkpoint import (CheckpointDtypeError,
                                     load_training_checkpoint,
                                     read_checkpoint_meta)
 
+from ..helpers import backend_or_skip
+
 BACKENDS = ["numpy64", "numpy32", "cnative"]
-
-
-def _backend_or_skip(name: str):
-    if name not in nn_backend.available_backends():
-        pytest.skip(f"backend {name!r} unavailable (dependency missing)")
-    return nn_backend.use(name)
 
 
 def _model(kind="gcn", seed=2):
@@ -77,7 +73,7 @@ class TestAccumSteps:
 class TestResumePerBackend:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_resume_is_bitwise_within_backend(self, name, corpus_c, tmp_path):
-        with _backend_or_skip(name):
+        with backend_or_skip(name):
             pairs = sample_pairs(corpus_c, 10, np.random.default_rng(4))
 
             straight = Engine(_model(seed=3),

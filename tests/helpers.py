@@ -1,10 +1,21 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: backend selection and tolerances,
+finite-difference gradient checking."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.nn.tensor import Tensor
+
+
+def backend_or_skip(name: str):
+    """A ``use(name)`` context, skipping when the backend cannot run here."""
+    from repro.nn import backend as nn_backend
+
+    if name not in nn_backend.available_backends():
+        pytest.skip(f"backend {name!r} unavailable (dependency missing)")
+    return nn_backend.use(name)
 
 
 def backend_tolerance(floor: float = 1e-8) -> float:

@@ -15,19 +15,12 @@ from repro.nn.backend import BufferPool
 from repro.nn.tensor import Tensor
 from repro.nn.treelstm import _segment_reduce, _segment_sum
 
-from ..helpers import (backend_tolerance, check_gradients,
+from ..helpers import (backend_or_skip, backend_tolerance, check_gradients,
                        check_gradients_fp64_ref)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 ALL_BACKENDS = ["numpy64", "numpy32", "cnative"]
-
-
-def _backend_or_skip(name: str):
-    """A ``use(name)`` context, skipping when the backend cannot run here."""
-    if name not in nn_backend.available_backends():
-        pytest.skip(f"backend {name!r} unavailable (dependency missing)")
-    return nn_backend.use(name)
 
 
 def rand(shape, seed=0):
@@ -152,7 +145,7 @@ class TestDtypePolicy:
     @pytest.mark.parametrize("name,dtype", [("numpy64", np.float64),
                                             ("numpy32", np.float32)])
     def test_float_inputs_land_in_backend_dtype(self, name, dtype):
-        with _backend_or_skip(name):
+        with backend_or_skip(name):
             assert Tensor([1, 2, 3]).data.dtype == dtype
             assert Tensor(2.5).data.dtype == dtype
             assert Tensor(np.ones(3, dtype=np.float64)).data.dtype == dtype
@@ -166,7 +159,7 @@ class TestDtypePolicy:
         # identity — a silent float64 upcast would break (and slow) the
         # gather/scatter kernels.
         arr = np.array([0, 1, 1], dtype=idx_dtype)
-        with _backend_or_skip(name):
+        with backend_or_skip(name):
             out = nn_backend.active().asarray(arr)
             assert out is arr
             t = Tensor(arr)
@@ -191,7 +184,7 @@ class TestIndexArraysStayIntegral:
     @pytest.mark.parametrize("name", ["numpy64", "numpy32"])
     def test_take_and_put_rows_roundtrip(self, name):
         idx = np.array([2, 0], dtype=np.int64)
-        with _backend_or_skip(name):
+        with backend_or_skip(name):
             a = Tensor(rand((4, 3)), requires_grad=True)
             v = Tensor(rand((2, 3), 1))
             out = a.put_rows(idx, v)
@@ -203,7 +196,7 @@ class TestIndexArraysStayIntegral:
 
     @pytest.mark.parametrize("name", ["numpy64", "numpy32"])
     def test_gather_rows_keeps_value_dtype(self, name):
-        with _backend_or_skip(name):
+        with backend_or_skip(name):
             a = Tensor(rand((3, 2)))
             b = Tensor(rand((4, 2), 1))
             out = Tensor.gather_rows([a, b], np.array([0, 1], dtype=np.int32),
@@ -227,7 +220,7 @@ class TestSegmentSum:
     def test_sorted_ids_fast_path(self, name):
         data = rand((7, 4))
         ids = np.array([0, 0, 1, 1, 1, 2, 3])
-        with _backend_or_skip(name) as b:
+        with backend_or_skip(name) as b:
             out = b.segment_sum(data.astype(b.dtype), ids, 4)
         np.testing.assert_allclose(
             out, _segment_reference(data, ids, 4), atol=b.tolerance)
@@ -236,7 +229,7 @@ class TestSegmentSum:
     def test_unsorted_ids_fallback(self, name):
         data = rand((6, 3), 1)
         ids = np.array([2, 0, 2, 1, 0, 2])     # decreasing at index 1
-        with _backend_or_skip(name) as b:
+        with backend_or_skip(name) as b:
             out = b.segment_sum(data.astype(b.dtype), ids, 3)
         np.testing.assert_allclose(
             out, _segment_reference(data, ids, 3), atol=b.tolerance)
@@ -249,7 +242,7 @@ class TestSegmentSum:
     ])
     def test_empty_segments_stay_zero(self, name, ids, m):
         data = rand((ids.size, 2), 2)
-        with _backend_or_skip(name) as b:
+        with backend_or_skip(name) as b:
             out = b.segment_sum(data.astype(b.dtype), ids, m)
         ref = _segment_reference(data, ids, m)
         np.testing.assert_allclose(out, ref, atol=b.tolerance)
@@ -258,7 +251,7 @@ class TestSegmentSum:
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_no_rows_at_all(self, name):
-        with _backend_or_skip(name) as b:
+        with backend_or_skip(name) as b:
             out = b.segment_sum(np.empty((0, 3), dtype=b.dtype),
                                 np.empty(0, dtype=np.int64), 2)
         assert out.shape == (2, 3)
@@ -268,7 +261,7 @@ class TestSegmentSum:
     def test_pair_matches_two_single_sums(self, name):
         a, c = rand((5, 3), 3), rand((5, 3), 4)
         ids = np.array([0, 1, 1, 2, 2])
-        with _backend_or_skip(name) as b:
+        with backend_or_skip(name) as b:
             fused = b.segment_sum_pair(a.astype(b.dtype), c.astype(b.dtype),
                                        ids, 3)
             left = b.segment_sum(a.astype(b.dtype), ids, 3)

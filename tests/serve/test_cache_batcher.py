@@ -43,6 +43,15 @@ class TestCanonicalKey:
         assert canonical_key(TreeFeaturizer()(SRC)) == \
             canonical_key(TreeFeaturizer()(SRC))
 
+    def test_key_is_stored_on_the_features(self):
+        """A second call returns the stored digest, which equals a fresh
+        digest of an independently featurized copy of the tree."""
+        features = TreeFeaturizer()(SRC)
+        first = canonical_key(features)
+        assert features.cache_key is first
+        assert canonical_key(features) is first
+        assert first == canonical_key(TreeFeaturizer()(SRC))
+
 
 class TestLruCache:
     def test_hit_miss_counters(self):

@@ -203,10 +203,13 @@ class TestShardAffinity:
                 np.testing.assert_allclose(reply["embedding"],
                                            model.embed(sources[0]),
                                            atol=backend_tolerance(1e-8))
-                # wait for a stats poll cycle to pick up worker counters
+                # wait for a stats poll that covers all 13 requests:
+                # workers answer in order, so a snapshot counting them
+                # also counts their cache hits (an earlier poll can
+                # already show all 6 encodes but not the hits)
                 wait_until(
                     lambda: client.request({"op": "cluster_stats"})
-                    ["stats"]["totals"]["trees_encoded"] >= 6,
+                    ["stats"]["totals"]["requests"] >= 13,
                     message="stats poll")
                 stats = client.request({"op": "cluster_stats"})["stats"]
         # 13 requests, 6 distinct trees: affinity means no tree was ever

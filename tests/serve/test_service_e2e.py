@@ -44,9 +44,11 @@ def variants(n):
             for k in range(1, n + 1)]
 
 
-@pytest.fixture(scope="module")
-def model():
-    return build_model(embedding_dim=16, hidden_size=16, seed=2)
+@pytest.fixture(scope="module", params=[0, 4],
+                ids=["head-linear", "head-hidden4"])
+def model(request):
+    return build_model(embedding_dim=16, hidden_size=16, seed=2,
+                       classifier_hidden=request.param)
 
 
 class TestMixedRequestStream:
